@@ -30,7 +30,9 @@
 //! dependency set ([`CachedPair::deps`], the merged-ball node set its
 //! pipeline examined). Reverse indexes (node → ball keys / pair keys) make
 //! that O(entries-containing-an-affected-node), proportional to the damage
-//! `d`, never a full flush.
+//! `d`, never a full flush. The indexes are built lazily: a cache keeps
+//! none until its first `sync_affected`, which builds them from the live
+//! entries, so reader caches that only ever `sync` never pay for them.
 //!
 //! Cached and uncached extractions are **bit-identical** by construction:
 //! both route through the same canonical-order subgraph assembly and the
@@ -286,6 +288,10 @@ pub struct ExtractionCache {
     config_key: (usize, u32),
     balls: LruCache<(NodeId, u32), CachedBall>,
     pairs: LruCache<(NodeId, NodeId), Arc<CachedPair>>,
+    /// Whether the reverse indexes are maintained. Off until the first
+    /// [`ExtractionCache::sync_affected`], which builds them from the
+    /// live entries; on from then on (until a re-seed).
+    indexed: bool,
     /// Reverse index: member node → ball keys whose memo contains it.
     /// May hold stale keys for evicted balls (removal is idempotent);
     /// rebuilt from live entries when it outgrows its trigger.
@@ -327,6 +333,7 @@ impl ExtractionCache {
             config_key: (0, 0),
             balls: LruCache::new(balls),
             pairs: LruCache::new(pairs),
+            indexed: false,
             ball_index: HashMap::new(),
             pair_index: HashMap::new(),
             ball_index_slots: 0,
@@ -368,11 +375,24 @@ impl ExtractionCache {
     /// revision, `sync` drops the view along with the local memos.
     pub fn with_frozen(view: FrozenCacheView) -> Self {
         let mut cache = Self::new();
-        cache.revision = view.revision;
-        cache.window = view.window;
-        cache.config_key = view.config_key;
-        cache.frozen = Some(view);
+        cache.reseed(view);
         cache
+    }
+
+    /// Re-seeds this cache with a frozen view, leaving it in the state
+    /// [`ExtractionCache::with_frozen`] builds: memos, reverse indexes
+    /// and stats start over at the view's revision, window and config.
+    /// The scratch buffers and the memo maps' capacity are kept, which
+    /// is what makes a recycled cache cheaper than a fresh one: its
+    /// graph-sized BFS arrays and Palette-WL tables are already built.
+    pub fn reseed(&mut self, view: FrozenCacheView) {
+        self.clear();
+        self.indexed = false;
+        self.stats = CacheStats::default();
+        self.revision = view.revision;
+        self.window = view.window;
+        self.config_key = view.config_key;
+        self.frozen = Some(view);
     }
 
     /// Captures the current memos as an immutable, `Arc`-shared view.
@@ -477,7 +497,9 @@ impl ExtractionCache {
     /// the memos a mutation with the given footprint could have changed:
     /// balls containing an affected node and pairs whose dependency set
     /// meets one. O(entries naming an affected node) — proportional to
-    /// the damage `d`, never a flush of the whole cache.
+    /// the damage `d`, never a flush of the whole cache. The first call
+    /// on a cache also builds the reverse indexes from its live entries,
+    /// once; later inserts keep them current.
     ///
     /// `affected` is the union of every mutated link's endpoints since
     /// the last sync: [`dyngraph::AdvanceReport::affected`] for expiries
@@ -497,6 +519,11 @@ impl ExtractionCache {
         window: Option<(Timestamp, Timestamp)>,
         affected: &[NodeId],
     ) {
+        if !self.indexed {
+            self.indexed = true;
+            self.rebuild_ball_index();
+            self.rebuild_pair_index();
+        }
         let rev = g.revision();
         if rev == self.revision && window == self.window {
             return;
@@ -551,47 +578,63 @@ impl ExtractionCache {
 
     /// Records `key` in the ball reverse index under every member of
     /// `members`, compacting the index when stale slots (left behind by
-    /// LRU eviction) outgrow the rebuild trigger.
+    /// LRU eviction) outgrow the rebuild trigger. A no-op until the
+    /// cache is indexed.
     fn index_ball(&mut self, key: (NodeId, u32), members: &[(NodeId, u32)]) {
+        if !self.indexed {
+            return;
+        }
         for &(node, _) in members {
             self.ball_index.entry(node).or_default().push(key);
         }
         self.ball_index_slots += members.len();
         if self.ball_index_slots > self.ball_index_trigger {
-            let mut index: HashMap<NodeId, Vec<(NodeId, u32)>> = HashMap::new();
-            let mut slots = 0usize;
-            for (&k, ball) in self.balls.entries() {
-                for &(node, _) in ball.iter() {
-                    index.entry(node).or_default().push(k);
-                    slots += 1;
-                }
-            }
-            self.ball_index = index;
-            self.ball_index_slots = slots;
-            self.ball_index_trigger = (2 * slots).max(INDEX_REBUILD_FLOOR);
+            self.rebuild_ball_index();
         }
     }
 
     /// Pair-side twin of [`ExtractionCache::index_ball`].
     fn index_pair(&mut self, key: (NodeId, NodeId), deps: &[NodeId]) {
+        if !self.indexed {
+            return;
+        }
         for &node in deps {
             self.pair_index.entry(node).or_default().push(key);
         }
         self.pair_index_slots += deps.len();
         if self.pair_index_slots > self.pair_index_trigger {
-            let mut index: HashMap<NodeId, Vec<(NodeId, NodeId)>> =
-                HashMap::new();
-            let mut slots = 0usize;
-            for (&k, pair) in self.pairs.entries() {
-                for &node in &pair.deps {
-                    index.entry(node).or_default().push(k);
-                    slots += 1;
-                }
-            }
-            self.pair_index = index;
-            self.pair_index_slots = slots;
-            self.pair_index_trigger = (2 * slots).max(INDEX_REBUILD_FLOOR);
+            self.rebuild_pair_index();
         }
+    }
+
+    /// Rebuilds the ball reverse index from the live entries alone.
+    fn rebuild_ball_index(&mut self) {
+        let mut index: HashMap<NodeId, Vec<(NodeId, u32)>> = HashMap::new();
+        let mut slots = 0usize;
+        for (&k, ball) in self.balls.entries() {
+            for &(node, _) in ball.iter() {
+                index.entry(node).or_default().push(k);
+                slots += 1;
+            }
+        }
+        self.ball_index = index;
+        self.ball_index_slots = slots;
+        self.ball_index_trigger = (2 * slots).max(INDEX_REBUILD_FLOOR);
+    }
+
+    /// Pair-side twin of [`ExtractionCache::rebuild_ball_index`].
+    fn rebuild_pair_index(&mut self) {
+        let mut index: HashMap<NodeId, Vec<(NodeId, NodeId)>> = HashMap::new();
+        let mut slots = 0usize;
+        for (&k, pair) in self.pairs.entries() {
+            for &node in &pair.deps {
+                index.entry(node).or_default().push(k);
+                slots += 1;
+            }
+        }
+        self.pair_index = index;
+        self.pair_index_slots = slots;
+        self.pair_index_trigger = (2 * slots).max(INDEX_REBUILD_FLOOR);
     }
 
     /// Memoized bounded BFS ball of `src` at radius `h`.
@@ -828,6 +871,146 @@ mod tests {
         assert!(cache.pair(0, 1).is_none());
         assert!(cache.pair(4, 5).is_some());
         assert_eq!(cache.stats().entries_invalidated, 1);
+    }
+
+    fn test_pair(deps: Vec<NodeId>) -> Arc<CachedPair> {
+        Arc::new(CachedPair {
+            ks: KStructureSubgraph::empty(3),
+            h_used: 1,
+            structure_nodes: deps.len(),
+            deps,
+        })
+    }
+
+    /// Radius-1 and radius-2 balls of every node of `g`, plus one pair
+    /// per consecutive id whose dependencies are its radius-1 union.
+    fn fill(cache: &mut ExtractionCache, g: &DynamicNetwork) {
+        let n = g.node_count() as NodeId;
+        for node in 0..n {
+            let _ = cache.ball(g, node, 1);
+            let _ = cache.ball(g, node, 2);
+        }
+        for a in 0..n - 1 {
+            let mut deps: Vec<NodeId> = cache
+                .ball(g, a, 1)
+                .iter()
+                .chain(cache.ball(g, a + 1, 1).iter())
+                .map(|&(node, _)| node)
+                .collect();
+            deps.sort_unstable();
+            deps.dedup();
+            cache.insert_pair(a, a + 1, test_pair(deps));
+        }
+    }
+
+    /// The live memo keys, balls then pairs, sorted.
+    type Keys = (Vec<(NodeId, u32)>, Vec<(NodeId, NodeId)>);
+
+    fn live_keys(cache: &ExtractionCache) -> Keys {
+        let mut balls: Vec<_> =
+            cache.balls.entries().map(|(k, _)| *k).collect();
+        let mut pairs: Vec<_> =
+            cache.pairs.entries().map(|(k, _)| *k).collect();
+        balls.sort_unstable();
+        pairs.sort_unstable();
+        (balls, pairs)
+    }
+
+    #[test]
+    fn lazy_and_eager_indexes_drop_the_same_entries() {
+        // A path 0-1-…-9.
+        let mut g: DynamicNetwork = (0..9u32).map(|i| (i, i + 1, 1)).collect();
+        // Indexed before any fill: every insert is indexed as it lands.
+        let mut eager = ExtractionCache::new();
+        eager.sync_affected(&g, None, &[]);
+        fill(&mut eager, &g);
+        // Filled while unindexed: the first sync_affected builds both
+        // indexes from the live entries.
+        let mut lazy = ExtractionCache::new();
+        lazy.sync(&g);
+        fill(&mut lazy, &g);
+        assert!(lazy.ball_index.is_empty() && lazy.pair_index.is_empty());
+        assert_eq!(live_keys(&eager), live_keys(&lazy));
+
+        g.add_link(2, 6, 2);
+        eager.sync_affected(&g, None, &[2, 6]);
+        lazy.sync_affected(&g, None, &[2, 6]);
+        let dropped = eager.stats().entries_invalidated;
+        assert!(dropped > 0, "the mutation touched memoized entries");
+        assert_eq!(lazy.stats().entries_invalidated, dropped);
+        assert_eq!(live_keys(&eager), live_keys(&lazy));
+        assert!(!lazy.ball_index.is_empty() && !lazy.pair_index.is_empty());
+
+        // Indexed from then on: entries filled after the first call are
+        // dropped by later calls too.
+        fill(&mut eager, &g);
+        fill(&mut lazy, &g);
+        g.add_link(8, 9, 3);
+        eager.sync_affected(&g, None, &[8, 9]);
+        lazy.sync_affected(&g, None, &[8, 9]);
+        assert!(eager.stats().entries_invalidated > dropped);
+        assert_eq!(
+            lazy.stats().entries_invalidated,
+            eager.stats().entries_invalidated
+        );
+        assert_eq!(live_keys(&eager), live_keys(&lazy));
+    }
+
+    #[test]
+    fn reader_caches_hold_no_reverse_index() {
+        let mut g: DynamicNetwork = (0..6u32).map(|i| (i, i + 1, 1)).collect();
+        let mut warm = ExtractionCache::new();
+        warm.sync(&g);
+        fill(&mut warm, &g);
+        let mut reader = ExtractionCache::with_frozen(warm.freeze());
+        reader.sync(&g);
+        let _ = reader.ball(&g, 2, 1); // frozen hit, copied locally
+        let _ = reader.ball(&g, 2, 3); // miss, extended from radius 2
+        assert!(reader.pair(0, 1).is_some());
+        reader.insert_pair(4, 2, test_pair(vec![2, 4]));
+        g.add_link(0, 5, 2);
+        reader.sync(&g);
+        fill(&mut reader, &g);
+        for cache in [&warm, &reader] {
+            assert!(cache.ball_index.is_empty() && cache.pair_index.is_empty());
+        }
+
+        // A re-seed returns an indexed cache to the reader state.
+        let mut writer = ExtractionCache::new();
+        writer.sync_affected(&g, None, &[]);
+        fill(&mut writer, &g);
+        assert!(!writer.ball_index.is_empty());
+        writer.reseed(reader.freeze());
+        assert!(writer.is_empty());
+        fill(&mut writer, &g);
+        assert!(writer.ball_index.is_empty() && writer.pair_index.is_empty());
+    }
+
+    #[test]
+    fn reseed_matches_a_fresh_frozen_cache() {
+        let mut g: DynamicNetwork = (0..6u32).map(|i| (i, i + 1, 1)).collect();
+        let mut warm = ExtractionCache::new();
+        warm.sync(&g);
+        warm.sync_config(4, 10);
+        fill(&mut warm, &g);
+        let view = warm.freeze();
+        // A recycled cache that last served another graph state.
+        let mut recycled = ExtractionCache::new();
+        g.add_link(0, 3, 2);
+        recycled.sync(&g);
+        fill(&mut recycled, &g);
+        recycled.reseed(view.clone());
+        let mut fresh = ExtractionCache::with_frozen(view);
+        assert_eq!(recycled.stats(), fresh.stats());
+        assert_eq!(recycled.len(), (0, 0));
+        assert_eq!(recycled.window(), fresh.window());
+        assert_eq!(
+            (recycled.revision, recycled.config_key),
+            (fresh.revision, fresh.config_key)
+        );
+        // It serves the view's memos, not what it held before.
+        assert!(recycled.pair(0, 1).is_some());
+        assert_eq!(recycled.pair(0, 1), fresh.pair(0, 1));
     }
 
     #[test]

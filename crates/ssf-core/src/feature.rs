@@ -416,30 +416,18 @@ impl SsfExtractor {
     ) -> CachedPair {
         let _pair_span = cache.recorder().span("ssf.core.pair");
         let k = self.config.k;
-        let mut h = 1;
-        let ball_a = cache.ball(g, a, h);
-        let ball_b = cache.ball(g, b, h);
-        let mut hop = HopSubgraph::from_balls(
-            g,
-            a,
-            b,
-            h,
-            ball_a.as_slice(),
-            ball_b.as_slice(),
-            &mut cache.scratch.hop,
-        );
-        let structure_span = cache.recorder().span("ssf.core.structure");
-        let mut s = StructureSubgraph::combine_with_scratch(
-            &hop,
-            &mut cache.scratch.structure,
-        );
-        structure_span.finish();
-        while s.node_count() < k && h < self.config.max_h {
-            h += 1;
-            cache.recorder().counter("ssf.core.kgrowth_rounds", 1);
+        let max_h = self.config.max_h;
+        let combine = |hop: &HopSubgraph, cache: &mut ExtractionCache| {
+            let _span = cache.recorder().span("ssf.core.structure");
+            StructureSubgraph::combine_with_scratch(
+                hop,
+                &mut cache.scratch.structure,
+            )
+        };
+        let hop_at = |h: u32, cache: &mut ExtractionCache| {
             let ball_a = cache.ball(g, a, h);
             let ball_b = cache.ball(g, b, h);
-            let grown = HopSubgraph::from_balls(
+            HopSubgraph::from_balls(
                 g,
                 a,
                 b,
@@ -447,18 +435,30 @@ impl SsfExtractor {
                 ball_a.as_slice(),
                 ball_b.as_slice(),
                 &mut cache.scratch.hop,
-            );
+            )
+        };
+        let mut h = 1;
+        let mut hop = hop_at(h, cache);
+        // Grow the radius until the structure subgraph reaches K nodes.
+        // A structure subgraph never has more nodes than its hop
+        // subgraph, so while the hop subgraph alone is short of K the
+        // growth decision is already made and the merge is skipped; it
+        // runs once the radius stops growing.
+        let s = loop {
+            let s = (hop.node_count() >= k || h >= max_h)
+                .then(|| combine(&hop, cache));
+            if s.as_ref().is_some_and(|s| s.node_count() >= k) || h >= max_h {
+                break s;
+            }
+            h += 1;
+            cache.recorder().counter("ssf.core.kgrowth_rounds", 1);
+            let grown = hop_at(h, cache);
             if grown.node_count() == hop.node_count() {
-                break; // component exhausted
+                break s; // component exhausted
             }
             hop = grown;
-            let structure_span = cache.recorder().span("ssf.core.structure");
-            s = StructureSubgraph::combine_with_scratch(
-                &hop,
-                &mut cache.scratch.structure,
-            );
-            structure_span.finish();
-        }
+        };
+        let s = s.unwrap_or_else(|| combine(&hop, cache));
         // Initial colors: distance to the target link, with structure nodes
         // adjacent to BOTH endpoints preceding the rest of their distance
         // class. The prime-log hash ranks well-connected nodes late within

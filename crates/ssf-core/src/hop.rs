@@ -5,19 +5,20 @@
 //! `d(n_i, e_t) = min(|P(n_i, n_a)|, |P(n_i, n_b)|)`) together with all
 //! timestamped links induced among those nodes.
 //!
-//! The assembly path is branch-light by design: ball merging, local-id
-//! lookup and membership tests all run over stamped arrays indexed by
-//! global node id (no hashing), and the induced links live in one flat
-//! CSR — `crate::reference` keeps the naive `HashMap` formulation this
-//! module is differentially tested against (`tests/kernels.rs`).
+//! The assembly path is branch-light by design: BFS membership runs over
+//! a stamped array indexed by global node id, ball merging and local-id
+//! lookup over a stamped probe table sized to the two balls, and the
+//! induced links live in one flat CSR — `crate::reference` keeps the
+//! naive `HashMap` formulation this module is differentially tested
+//! against (`tests/kernels.rs`).
 
 use dyngraph::{GraphView, NodeId, Timestamp};
 
 use crate::error::ExtractError;
 
-/// Reusable buffers for h-hop extraction: a stamped distance map (so the
+/// Reusable buffers for h-hop extraction: a stamped visited map (so the
 /// per-node state never needs clearing between runs), BFS frontiers, and
-/// the stamped merge/local-index arrays that replace per-call hash maps.
+/// the stamped merge table that replaces per-call hash maps.
 ///
 /// One scratch serves any number of sequential extractions; a fresh
 /// default-constructed scratch produces bit-identical results to a reused
@@ -25,34 +26,42 @@ use crate::error::ExtractError;
 /// samples without changing any output.
 #[derive(Debug, Clone, Default)]
 pub struct HopScratch {
-    /// `stamp[n] == epoch` marks `dist[n]` as valid for the current run.
+    /// `stamp[n] == epoch` marks `n` as discovered by the current BFS.
     ///
-    /// Stamps are `u32` so the two stamped maps cost 8 bytes per graph
-    /// node instead of 16 — at million-node scale the scratch is the
-    /// dominant per-thread allocation. Epoch wrap-around is handled by
-    /// zeroing the stamp array (once every ~4 billion extractions).
+    /// The only graph-sized buffer: 4 bytes per node. Epoch wrap-around
+    /// is handled by zeroing the stamp array (once every ~4 billion
+    /// extractions).
     stamp: Vec<u32>,
-    dist: Vec<u32>,
     epoch: u32,
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
-    /// `mstamp[n] == mepoch` marks `n` as a member of the current merge;
-    /// `mdist[n]` is its joint distance and `mlocal[n]` its local id.
-    mstamp: Vec<u32>,
-    mdist: Vec<u32>,
-    mlocal: Vec<u32>,
+    /// Linear-probing table of the current merge's members: a slot is
+    /// live when its stamp is `mepoch`. A merge uses only the first
+    /// `1 << mbits` slots, at most half of them filled, so its footprint
+    /// follows the two balls rather than the graph.
+    merge: Vec<MergeSlot>,
     mepoch: u32,
+    mbits: u32,
     rest: Vec<(u32, NodeId)>,
     edges: Vec<(u32, u32, Timestamp)>,
     cursor: Vec<usize>,
     row: Vec<u32>,
 }
 
+/// One member of a merge: its joint distance and local id, kept with the
+/// key so a lookup touches one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+struct MergeSlot {
+    stamp: u32,
+    node: NodeId,
+    dist: u32,
+    local: u32,
+}
+
 impl HopScratch {
     fn begin(&mut self, nodes: usize) {
         if self.stamp.len() < nodes {
             self.stamp.resize(nodes, 0);
-            self.dist.resize(nodes, 0);
         }
         if self.epoch == u32::MAX {
             // Wrap: every stale stamp could collide with a future epoch,
@@ -64,17 +73,35 @@ impl HopScratch {
         self.epoch += 1;
     }
 
-    fn begin_merge(&mut self, nodes: usize) {
-        if self.mstamp.len() < nodes {
-            self.mstamp.resize(nodes, 0);
-            self.mdist.resize(nodes, 0);
-            self.mlocal.resize(nodes, 0);
+    /// Starts a merge of at most `members` nodes: the probe table gets
+    /// at least twice that many slots, and only those are used.
+    fn begin_merge(&mut self, members: usize) {
+        let bits = (2 * members.max(8)).next_power_of_two().trailing_zeros();
+        let slots = 1usize << bits;
+        if self.merge.len() < slots {
+            self.merge.resize(slots, MergeSlot::default());
         }
         if self.mepoch == u32::MAX {
-            self.mstamp.fill(0);
+            self.merge.fill(MergeSlot::default());
             self.mepoch = 0;
         }
         self.mepoch += 1;
+        self.mbits = bits;
+    }
+
+    /// The slot of `n` in the current merge: its own if `n` is a member,
+    /// else the free slot where it would go.
+    fn merge_slot(&self, n: NodeId) -> usize {
+        let mask = (1usize << self.mbits) - 1;
+        let mut i = (u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (64 - self.mbits)) as usize;
+        loop {
+            let slot = &self.merge[i];
+            if slot.stamp != self.mepoch || slot.node == n {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
     }
 }
 
@@ -104,7 +131,6 @@ pub fn ball<G: GraphView + ?Sized>(
     let epoch = scratch.epoch;
     let mut out = Vec::new();
     scratch.stamp[src as usize] = epoch;
-    scratch.dist[src as usize] = 0;
     out.push((src, 0));
     scratch.frontier.clear();
     scratch.frontier.push(src);
@@ -141,7 +167,6 @@ pub fn ball_extend<G: GraphView + ?Sized>(
     scratch.frontier.clear();
     for &(n, d) in prev {
         scratch.stamp[n as usize] = epoch;
-        scratch.dist[n as usize] = d;
         out.push((n, d));
         if d == h_prev {
             scratch.frontier.push(n);
@@ -170,7 +195,6 @@ fn grow_layers<G: GraphView + ?Sized>(
             for &v in g.distinct_neighbors(u) {
                 if scratch.stamp[v as usize] != epoch {
                     scratch.stamp[v as usize] = epoch;
-                    scratch.dist[v as usize] = depth;
                     out.push((v, depth));
                     scratch.next.push(v);
                 }
@@ -298,27 +322,30 @@ impl HopSubgraph {
         ball_b: &[(NodeId, u32)],
         scratch: &mut HopScratch,
     ) -> Self {
-        scratch.begin_merge(g.node_count());
+        scratch.begin_merge(ball_a.len() + ball_b.len());
         let epoch = scratch.mepoch;
-        // Union of the balls with per-node minimum distance, over stamped
-        // arrays: first sight records, later sights only lower the
-        // distance. The endpoints are members by construction.
+        // Union of the balls with per-node minimum distance, over the
+        // stamped merge table: first sight records, later sights only
+        // lower the distance. The endpoints are members by construction.
         scratch.rest.clear();
         for &(n, d) in ball_a.iter().chain(ball_b) {
-            let i = n as usize;
-            if scratch.mstamp[i] != epoch {
-                scratch.mstamp[i] = epoch;
-                scratch.mdist[i] = d;
+            let i = scratch.merge_slot(n);
+            let slot = &mut scratch.merge[i];
+            if slot.stamp != epoch {
+                slot.stamp = epoch;
+                slot.node = n;
+                slot.dist = d;
                 if n != a && n != b {
                     scratch.rest.push((0, n));
                 }
-            } else if d < scratch.mdist[i] {
-                scratch.mdist[i] = d;
+            } else if d < slot.dist {
+                slot.dist = d;
             }
         }
         // Canonical local order: endpoints first, rest by (distance, id).
-        for entry in scratch.rest.iter_mut() {
-            entry.0 = scratch.mdist[entry.1 as usize];
+        for k in 0..scratch.rest.len() {
+            let slot = scratch.merge_slot(scratch.rest[k].1);
+            scratch.rest[k].0 = scratch.merge[slot].dist;
         }
         scratch.rest.sort_unstable();
         let mut global = Vec::with_capacity(scratch.rest.len() + 2);
@@ -332,22 +359,23 @@ impl HopSubgraph {
             dist.push(d);
         }
         for (i, &n) in global.iter().enumerate() {
-            scratch.mlocal[n as usize] = i as u32;
+            let slot = scratch.merge_slot(n);
+            scratch.merge[slot].local = i as u32;
         }
-        // Induced links, each discovered once via `u < v`; the stamped
-        // membership test replaces the per-link hash lookup.
+        // Induced links, each discovered once via `u < v`; membership is
+        // a probe of the small merge table, not a graph-sized array.
         scratch.edges.clear();
         for (i, &u) in global.iter().enumerate() {
             for (v, t) in g.incident_links(u) {
-                if u < v && scratch.mstamp[v as usize] == epoch {
+                if u >= v {
+                    continue;
+                }
+                let slot = scratch.merge[scratch.merge_slot(v)];
+                if slot.stamp == epoch {
                     if (u == a && v == b) || (u == b && v == a) {
                         continue; // target pair history excluded
                     }
-                    scratch.edges.push((
-                        i as u32,
-                        scratch.mlocal[v as usize],
-                        t,
-                    ));
+                    scratch.edges.push((i as u32, slot.local, t));
                 }
             }
         }
@@ -594,6 +622,117 @@ mod tests {
                 prev = ext;
             }
         }
+    }
+
+    /// `sample` plus a tail 4-5-6, so radii up to 4 keep growing.
+    fn long_sample() -> DynamicNetwork {
+        let mut g = sample();
+        g.extend([(4, 5, 7), (5, 6, 8)]);
+        g
+    }
+
+    /// A scratch whose stamp array and merge table hold marks from the
+    /// first epochs (every node stamped 1 by a whole-component BFS and
+    /// merge) and whose counters are one step short of `u32::MAX`. Were
+    /// the wrap not to clear them, the restarted epochs would collide
+    /// with those old marks.
+    fn worn_scratch(g: &DynamicNetwork) -> HopScratch {
+        let mut scratch = HopScratch::default();
+        let whole = ball(g, 0, 10, &mut scratch);
+        let _ =
+            HopSubgraph::from_balls(g, 0, 6, 10, &whole, &whole, &mut scratch);
+        assert_eq!((scratch.epoch, scratch.mepoch), (1, 1));
+        scratch.epoch = u32::MAX - 1;
+        scratch.mepoch = u32::MAX - 1;
+        scratch
+    }
+
+    #[test]
+    fn ball_and_extend_survive_the_epoch_wrap() {
+        let g = long_sample();
+        let mut worn = worn_scratch(&g);
+        let mut wrapped = false;
+        for src in [0u32, 3, 6, 2] {
+            let mut fresh = HopScratch::default();
+            let mut prev = ball(&g, src, 1, &mut worn);
+            assert_eq!(prev, ball(&g, src, 1, &mut fresh), "src {src}");
+            for h in 2..=4u32 {
+                let full = ball(&g, src, h, &mut worn);
+                assert_eq!(
+                    full,
+                    ball(&g, src, h, &mut fresh),
+                    "src {src} h {h}"
+                );
+                let ext = ball_extend(&g, &prev, h - 1, h, &mut worn);
+                assert_eq!(ext, full, "extension of src {src} to h {h}");
+                prev = ext;
+                wrapped |= worn.epoch < 8;
+            }
+        }
+        assert!(wrapped, "the BFS epoch never wrapped");
+    }
+
+    #[test]
+    fn from_balls_survives_the_merge_epoch_wrap() {
+        let g = long_sample();
+        let mut worn = worn_scratch(&g);
+        let mut fresh = HopScratch::default();
+        for (round, (a, b)) in [(0u32, 6u32), (2, 4), (6, 1), (3, 5)]
+            .into_iter()
+            .enumerate()
+        {
+            // The first merge after the wrap (round 0, h = 10) spans the
+            // whole component, so it probes a table of the worn merge's
+            // size, where the old marks sit at the same slots.
+            for h in [1, 10, 2, 3u32] {
+                let ba = ball(&g, a, h, &mut fresh);
+                let bb = ball(&g, b, h, &mut fresh);
+                let got =
+                    HopSubgraph::from_balls(&g, a, b, h, &ba, &bb, &mut worn);
+                let want = HopSubgraph::from_balls(
+                    &g,
+                    a,
+                    b,
+                    h,
+                    &ba,
+                    &bb,
+                    &mut HopScratch::default(),
+                );
+                assert_eq!(got, want, "round {round}: ({a}, {b}) at h {h}");
+            }
+        }
+        assert!(worn.mepoch < 16, "the merge epoch never wrapped");
+    }
+
+    /// A merge table left over from a large merge holds slots from older
+    /// epochs inside the prefix a small merge probes; reusing it must
+    /// match a fresh scratch for merges that shrink and grow again.
+    #[test]
+    fn merge_table_reuse_matches_fresh_scratch() {
+        // A ring of 200 nodes with chords to the 7th neighbour.
+        let g: DynamicNetwork = (0..200u32)
+            .flat_map(|i| [(i, (i + 1) % 200, i), (i, (i + 7) % 200, i + 1)])
+            .collect();
+        let mut reused = HopScratch::default();
+        let mut largest = 0;
+        for (a, b, h) in
+            [(0u32, 100u32, 4u32), (3, 5, 1), (50, 9, 3), (7, 8, 1)]
+        {
+            let mut fresh = HopScratch::default();
+            let ba = ball(&g, a, h, &mut fresh);
+            let bb = ball(&g, b, h, &mut fresh);
+            let got =
+                HopSubgraph::from_balls(&g, a, b, h, &ba, &bb, &mut reused);
+            let want =
+                HopSubgraph::from_balls(&g, a, b, h, &ba, &bb, &mut fresh);
+            assert_eq!(got, want, "({a}, {b}) at h {h}");
+            largest = largest.max(reused.merge.len());
+            assert!(reused.merge.len() >= 1 << reused.mbits);
+        }
+        assert!(
+            largest > 1 << reused.mbits,
+            "the last merge must probe a prefix of a larger table"
+        );
     }
 
     #[test]

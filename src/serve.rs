@@ -30,7 +30,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dyngraph::{
     DeltaGraph, GraphView, NodeId, OverlayView, StorageMode, Timestamp, Window,
@@ -209,6 +209,41 @@ pub(crate) fn common_neighbor_fallback<G: GraphView + ?Sized>(
     cn as f64 / (cn as f64 + 1.0)
 }
 
+/// Idle extraction caches, shared by a predictor and every snapshot it
+/// publishes so that a scoring call reuses an earlier call's scratch
+/// buffers — the graph-sized BFS arrays and the Palette-WL tables —
+/// instead of building them afresh.
+///
+/// A call takes a cache, re-seeds it for its own epoch, and hands it
+/// back; the pool therefore never holds more caches than calls that ran
+/// at the same time. Caches are cleared on return, so an idle cache
+/// pins no memo entry and no frozen view of an old epoch.
+#[derive(Debug, Default)]
+pub(crate) struct CachePool {
+    idle: Mutex<Vec<ExtractionCache>>,
+}
+
+impl CachePool {
+    /// Runs `f` on a pooled cache (a new one when none is idle). The
+    /// cache holds no memo entries and no frozen view when `f` gets it.
+    pub(crate) fn with<R>(
+        &self,
+        f: impl FnOnce(&mut ExtractionCache) -> R,
+    ) -> R {
+        let mut cache = self.idle().pop().unwrap_or_default();
+        let out = f(&mut cache);
+        cache.clear();
+        self.idle().push(cache);
+        out
+    }
+
+    fn idle(&self) -> MutexGuard<'_, Vec<ExtractionCache>> {
+        // Every update is one push or pop, so a pool whose holder
+        // panicked is still a valid pool.
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// One immutable epoch of a predictor: graph, fitted model and a frozen
 /// extraction-cache view, published together.
 ///
@@ -265,6 +300,8 @@ struct SnapshotInner {
     window: Option<Window>,
     degraded_scores: AtomicU64,
     obs: ObsHandle,
+    /// Recycled per-call caches, shared with the publishing predictor.
+    pool: Arc<CachePool>,
 }
 
 impl ScoringSnapshot {
@@ -287,6 +324,7 @@ impl ScoringSnapshot {
                 graph,
                 degraded_scores: AtomicU64::new(0),
                 obs: p.recorder().clone(),
+                pool: Arc::clone(&p.pool),
             }),
         }
     }
@@ -335,6 +373,7 @@ impl ScoringSnapshot {
                 window: meta.window,
                 degraded_scores: AtomicU64::new(0),
                 obs: ObsHandle::noop(),
+                pool: Arc::default(),
             }),
         })
     }
@@ -409,44 +448,27 @@ impl ScoringSnapshot {
 
     /// Scores one candidate pair — same contract and same bits as
     /// [`OnlineLinkPredictor::score`] at publish time, but through
-    /// `&self`, from any thread.
+    /// `&self`, from any thread. The one-pair case of
+    /// [`Self::score_batch`], so it serves from the frozen view too.
     pub fn score(&self, u: NodeId, v: NodeId) -> Option<f64> {
         let _span = self.inner.obs.span("ssf.serve.score");
-        let inner = &*self.inner;
-        let n = inner.graph.node_count() as NodeId;
-        if u == v || u >= n || v >= n {
-            return None;
-        }
-        let present = inner.present?;
-        let fitted = inner.model.as_deref()?;
-        let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-            fitted.model.try_score(&inner.graph, u, v, present)
-        }));
-        match attempt {
-            Ok(Ok(p)) => Some(p),
-            Ok(Err(_)) | Err(_) => {
-                inner.degraded_scores.fetch_add(1, Ordering::Relaxed);
-                inner.obs.counter("ssf.serve.degraded_scores", 1);
-                Some(common_neighbor_fallback(&inner.graph, u, v))
-            }
-        }
+        self.score_pooled(&[(u, v)]).pop().flatten()
     }
 
-    /// Scores a batch serially against a thread-local cache seeded with
-    /// the snapshot's frozen view — bit-identical to calling
-    /// [`Self::score`] per pair, with the warm memos of the publishing
-    /// predictor already in place.
+    /// Scores a batch serially against a pooled cache seeded with the
+    /// snapshot's frozen view — bit-identical to calling [`Self::score`]
+    /// per pair, with the warm memos of the publishing predictor already
+    /// in place.
     pub fn score_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
         let _span = self.inner.obs.span("ssf.serve.score_batch");
         self.inner
             .obs
             .counter("ssf.serve.scored", pairs.len() as u64);
-        let mut cache = self.local_cache();
-        self.score_chunk(pairs, &mut cache)
+        self.score_pooled(pairs)
     }
 
     /// Fans a batch out over `threads` scoped worker threads, each with
-    /// its own frozen-seeded cache, and reassembles results in input
+    /// its own pooled, frozen-seeded cache, and reassembles results in input
     /// order. Bit-identical to [`Self::score_batch`] for every slot:
     /// caches only memoize values the pipeline would recompute
     /// identically, so the chunking never shows in the output.
@@ -478,15 +500,7 @@ impl ScoringSnapshot {
         std::thread::scope(|s| {
             let handles: Vec<_> = pairs
                 .chunks(chunk)
-                .map(|c| {
-                    (
-                        c.len(),
-                        s.spawn(move || {
-                            let mut cache = self.local_cache();
-                            self.score_chunk(c, &mut cache)
-                        }),
-                    )
-                })
+                .map(|c| (c.len(), s.spawn(move || self.score_pooled(c))))
                 .collect();
             for (len, h) in handles {
                 match h.join() {
@@ -500,14 +514,17 @@ impl ScoringSnapshot {
         out
     }
 
-    /// A fresh mutable cache seeded with the snapshot's frozen view.
-    fn local_cache(&self) -> ExtractionCache {
-        let mut cache = ExtractionCache::with_frozen(self.inner.frozen.clone());
-        cache.set_recorder(self.inner.obs.clone());
-        cache
+    /// Scores `pairs` serially against a cache from the pool, re-seeded
+    /// with the snapshot's frozen view.
+    fn score_pooled(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Option<f64>> {
+        self.inner.pool.with(|cache| {
+            cache.reseed(self.inner.frozen.clone());
+            cache.set_recorder(self.inner.obs.clone());
+            self.score_chunk(pairs, cache)
+        })
     }
 
-    /// The shared serial scoring loop behind both batch paths.
+    /// The one serial scoring loop behind every snapshot scoring path.
     fn score_chunk(
         &self,
         pairs: &[(NodeId, NodeId)],
@@ -1033,6 +1050,103 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A fresh, uncached `try_score` against the snapshot's own graph
+    /// and model: the reference every pooled path must reproduce.
+    fn fresh_score(
+        snap: &ScoringSnapshot,
+        u: NodeId,
+        v: NodeId,
+    ) -> Option<f64> {
+        let n = snap.graph().node_count() as NodeId;
+        if u == v || u >= n || v >= n {
+            return None;
+        }
+        let present = snap.present()?;
+        let fitted = snap.inner.model.as_deref()?;
+        fitted.model.try_score(snap.graph(), u, v, present).ok()
+    }
+
+    /// Pooled caches travel between epochs: a predictor whose graph
+    /// grows and whose window slides publishes snapshot after snapshot,
+    /// all sharing one pool, and every snapshot is scored again after
+    /// each publish. Whichever epoch a recycled cache served last,
+    /// `score`, `score_batch` and `score_batch_parallel` at 1/2/8
+    /// threads must equal a fresh uncached `try_score` bit for bit.
+    #[test]
+    fn pooled_caches_stay_bit_identical_across_epochs() {
+        let g = DatasetSpec::coauthor().scaled(0.15).generate(9);
+        let mut links: Vec<_> = g.links().collect();
+        links.sort_by_key(|l| l.t);
+        let span = links.last().map_or(0, |l| l.t) - links[0].t;
+        let config = OnlinePredictorConfig {
+            window: Some(span / 2),
+            ..quick_config()
+        };
+        let mut p = OnlineLinkPredictor::new(config);
+        let bits = |s: &[Option<f64>]| -> Vec<Option<u64>> {
+            s.iter().map(|x| x.map(f64::to_bits)).collect()
+        };
+        let mut snaps: Vec<ScoringSnapshot> = Vec::new();
+        for chunk in links.chunks(links.len().div_ceil(5)) {
+            for l in chunk {
+                p.observe(l.u, l.v, l.t);
+            }
+            // Widen the id space so later epochs outgrow the scratch
+            // arrays that earlier ones sized.
+            let far = p.network().node_count() as NodeId + 7;
+            assert!(p.observe(0, far, p.horizon()).is_accepted());
+            snaps.push(p.snapshot());
+            // Pairs over the newest id space, plus degenerate and
+            // out-of-range ones for the older, smaller epochs.
+            let n = p.network().node_count() as NodeId;
+            let mut pairs: Vec<(NodeId, NodeId)> = (0..40u32)
+                .map(|i| ((i * 7) % n, (i * 13 + n / 2) % n))
+                .collect();
+            pairs.extend([(0, 0), (1, n + 3), (n - 1, 0), (0, 1), (0, 1)]);
+            for snap in &snaps {
+                let want: Vec<Option<f64>> = pairs
+                    .iter()
+                    .map(|&(u, v)| fresh_score(snap, u, v))
+                    .collect();
+                let one: Vec<Option<f64>> =
+                    pairs.iter().map(|&(u, v)| snap.score(u, v)).collect();
+                assert_eq!(
+                    bits(&one),
+                    bits(&want),
+                    "score, epoch {}",
+                    snap.epoch()
+                );
+                let batch = snap.score_batch(&pairs);
+                assert_eq!(
+                    bits(&batch),
+                    bits(&want),
+                    "batch, epoch {}",
+                    snap.epoch()
+                );
+                for threads in [1, 2, 8] {
+                    let par = snap.score_batch_parallel(&pairs, threads);
+                    assert_eq!(
+                        bits(&par),
+                        bits(&want),
+                        "{threads} threads, epoch {}",
+                        snap.epoch()
+                    );
+                }
+            }
+            let live: Vec<Option<f64>> =
+                pairs.iter().map(|&(u, v)| p.score(u, v)).collect();
+            let newest = snaps.last().map(|s| s.score_batch(&pairs));
+            assert_eq!(Some(bits(&live)), newest.as_deref().map(bits));
+        }
+        let first = &snaps[0];
+        let last = &snaps[snaps.len() - 1];
+        assert!(last.is_fitted(), "the stream must support a fit");
+        assert!(last.graph().node_count() > first.graph().node_count());
+        assert_ne!(first.window(), last.window(), "the window must slide");
+        // One cache per call that ran at once: the widest was 8 threads.
+        assert!(p.pool.idle().len() <= 8);
     }
 
     #[test]

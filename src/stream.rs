@@ -285,6 +285,11 @@ pub struct OnlineLinkPredictor {
     ///
     /// [`score_batch`]: OnlineLinkPredictor::score_batch
     pub(crate) cache: ExtractionCache,
+    /// Recycled caches behind [`score`] and the scoring paths of every
+    /// snapshot this predictor publishes.
+    ///
+    /// [`score`]: OnlineLinkPredictor::score
+    pub(crate) pool: Arc<serve::CachePool>,
     /// Telemetry sink; the no-op handle by default.
     obs: ObsHandle,
     /// Durable-state attachment (WAL writer + directory); `None` for
@@ -308,6 +313,7 @@ impl Clone for OnlineLinkPredictor {
             last_refit_error: self.last_refit_error.clone(),
             stats: self.stats.clone(),
             cache: self.cache.clone(),
+            pool: Arc::clone(&self.pool),
             obs: self.obs.clone(),
             durability: None,
         }
@@ -345,6 +351,7 @@ impl OnlineLinkPredictor {
             last_refit_error: None,
             stats: serve::StreamStats::default(),
             cache: ExtractionCache::with_recorder(obs.clone()),
+            pool: Arc::default(),
             obs,
             durability: None,
         }
@@ -699,9 +706,18 @@ impl OnlineLinkPredictor {
         }
         let present = self.network.max_timestamp()?.saturating_add(1);
         let fitted = self.fitted.as_deref()?;
-        let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-            fitted.model.try_score(&self.network, u, v, present)
-        }));
+        let attempt = self.pool.with(|cache| {
+            cache.set_recorder(self.obs.clone());
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                fitted.model.try_score_cached(
+                    &self.network,
+                    u,
+                    v,
+                    present,
+                    cache,
+                )
+            }))
+        });
         match attempt {
             Ok(Ok(p)) => Some(p),
             Ok(Err(_)) | Err(_) => {

@@ -5,8 +5,9 @@
 //!
 //! 1. *Liveness*: a writer thread interleaving `observe` + `snapshot`
 //!    with reader threads running `score_batch_parallel` completes —
-//!    the read path takes no locks, so the scope ending at all is the
-//!    no-deadlock assertion — and every published epoch is internally
+//!    the read path only locks the cache pool for a push or pop, so the
+//!    scope ending at all is the no-deadlock assertion — and every
+//!    published epoch is internally
 //!    consistent (`epoch == network.revision()`, `model_epoch ≤ epoch`,
 //!    `fitted ⇔ model_epoch.is_some()`).
 //! 2. *Determinism*: `score_batch_parallel` is bit-identical to the

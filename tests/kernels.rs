@@ -15,7 +15,8 @@ use proptest::prelude::*;
 use ssf_repro::dyngraph::{DynamicNetwork, NodeId, Timestamp};
 use ssf_repro::methods::{Method, MethodOptions};
 use ssf_repro::ssf_core::{
-    reference, EntryEncoding, ExtractionCache, SsfConfig, SsfExtractor,
+    reference, EntryEncoding, ExtractionCache, HopSubgraph, SsfConfig,
+    SsfExtractor,
 };
 use ssf_repro::ssf_eval::{LinkSample, Split, SplitConfig};
 
@@ -144,6 +145,93 @@ fn reciprocal_distance_disconnected_matches_reference() {
     let mut cache = ExtractionCache::new();
     for (a, b) in [(0, 1), (4, 7), (0, 8), (8, 6)] {
         assert_matches_reference(&g, a, b, 9, &config, &mut cache);
+    }
+}
+
+/// One K-growth case: where the growth loop must stop for a target.
+struct Growth {
+    g: DynamicNetwork,
+    target: (NodeId, NodeId),
+    k: usize,
+    max_h: u32,
+    /// Whether the radius-1 hop subgraph alone has fewer than K nodes,
+    /// so the radius-1 merge is skipped.
+    small: bool,
+    /// The radius the reference stops at.
+    radius: u32,
+}
+
+/// K-growth skips the structure merge at any radius whose hop subgraph
+/// alone has fewer than K nodes (a structure subgraph never has more
+/// nodes than its hop subgraph). Each case pins where growth stops —
+/// including a component exhausted before any merge ran — and must
+/// match the reference, which merges at every radius, radius included.
+#[test]
+fn k_growth_shortcut_matches_reference() {
+    let path = |n: u32| -> DynamicNetwork {
+        (0..n - 1).map(|i| (i, i + 1, 1 + i % 4)).collect()
+    };
+    let star: DynamicNetwork =
+        [(0, 1, 1), (0, 2, 2), (0, 3, 3)].into_iter().collect();
+    // Hub 0 with six leaves that merge into one structure node, plus a
+    // tail off leaf 2: the radius-1 hop subgraph reaches K = 5 but its
+    // structure subgraph does not, so the merge runs and growth goes on.
+    let fan: DynamicNetwork = (2..8u32)
+        .map(|leaf| (0, leaf, 2))
+        .chain([(0, 1, 1), (2, 8, 3), (8, 9, 4)])
+        .collect();
+    let case = |g: &DynamicNetwork, target, k, max_h, small, radius| Growth {
+        g: g.clone(),
+        target,
+        k,
+        max_h,
+        small,
+        radius,
+    };
+    let cases = [
+        // Radius-1 union {2, 3, 4, 5} < K; radius 2 reaches K.
+        case(&path(10), (3, 4), 6, 10, true, 2),
+        // Star {0, 1, 2, 3}: exhausted at radius 1, so growth to radius
+        // 2 finds nothing and the radius-1 subgraph is merged.
+        case(&star, (0, 2), 6, 10, true, 2),
+        // Path 0..4 from (1, 2): radii 1 and 2 both skip the merge and
+        // radius 3 finds the component exhausted at radius 2.
+        case(&path(5), (1, 2), 8, 10, true, 3),
+        // max_h = 1: no growth is possible, the merge runs at once.
+        case(&path(10), (3, 4), 6, 1, true, 1),
+        // max_h = 2: the merge is skipped at radius 1 and forced at 2.
+        case(&path(12), (5, 6), 9, 2, true, 2),
+        // Radius-1 union ≥ K but the structure subgraph falls short.
+        case(&fan, (0, 1), 5, 10, false, 2),
+        case(&fan, (0, 1), 5, 1, false, 1),
+    ];
+    for Growth {
+        g,
+        target: (a, b),
+        k,
+        max_h,
+        small,
+        radius,
+    } in cases
+    {
+        let hop1 = HopSubgraph::extract(&g, a, b, 1).node_count();
+        assert_eq!(
+            hop1 < k,
+            small,
+            "({a}, {b}) K = {k}: radius-1 union {hop1}"
+        );
+        let config = SsfConfig::new(k).with_max_h(max_h);
+        let (_, h, _) = reference::extract(&g, a, b, 9, &config);
+        assert_eq!(h, radius, "({a}, {b}) K = {k} max_h = {max_h}");
+        for encoding in ENCODINGS {
+            let config = config.with_theta(0.5).with_encoding(encoding);
+            let mut cache = ExtractionCache::new();
+            // Cold; then (b, a) on the warm ball memo; then (a, b) again
+            // from the pair memo.
+            assert_matches_reference(&g, a, b, 9, &config, &mut cache);
+            assert_matches_reference(&g, b, a, 9, &config, &mut cache);
+            assert_matches_reference(&g, a, b, 9, &config, &mut cache);
+        }
     }
 }
 

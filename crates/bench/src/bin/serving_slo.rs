@@ -57,6 +57,10 @@ use ssf_repro::{
 /// can require a 0.0 miss rate.
 const DEADLINE_BUDGET: Duration = Duration::from_millis(250);
 
+/// Longest an open-loop client sleeps before it polls its outstanding
+/// tickets again: the resolution of its completion stamps.
+const POLL_INTERVAL: Duration = Duration::from_micros(50);
+
 fn config(smoke: bool, seed: u64) -> OnlinePredictorConfig {
     OnlinePredictorConfig::builder()
         .method(MethodOptions {
@@ -98,7 +102,6 @@ fn fitted_snapshot(smoke: bool, seed: u64) -> ScoringSnapshot {
 fn coalesce_config(threads: usize) -> CoalesceConfig {
     CoalesceConfig::builder()
         .max_batch(32)
-        .max_delay_ns(100_000) // 100 µs
         .queue_capacity(256)
         .worker_threads(threads)
         .default_deadline_ns(Some(
@@ -139,7 +142,7 @@ fn check_bit_identity(snapshot: &ScoringSnapshot, seed: u64) -> bool {
         .iter()
         .map(|&(u, v)| c.submit(u, v).expect("unbounded for this check"))
         .collect();
-    while c.flush().remaining > 0 {}
+    while c.step().remaining > 0 {}
     tickets.into_iter().zip(&direct).all(|(t, want)| {
         matches!(
             t.try_take(),
@@ -282,10 +285,29 @@ fn closed_loop_client(
     lat
 }
 
+/// Stamps every outstanding ticket whose outcome has landed, keeping
+/// the latency of those that were scored (sheds and expiries do not
+/// count toward the latency distribution).
+fn retire(pending: &mut Vec<(Instant, ssf_repro::Ticket)>, lat: &mut Vec<u64>) {
+    pending.retain(|(issued, ticket)| match ticket.try_take() {
+        None => true,
+        Some(outcome) => {
+            if outcome.is_ok() {
+                lat.push(
+                    u64::try_from(issued.elapsed().as_nanos())
+                        .unwrap_or(u64::MAX),
+                );
+            }
+            false
+        }
+    });
+}
+
 /// One open-loop client: arrivals follow the schedule (fixed interval
-/// or exponential inter-arrival times), never the completions. Tickets
-/// are collected and awaited only after the arrival process ends, so a
+/// or exponential inter-arrival times), never the completions, so a
 /// backed-up server keeps receiving load — the honest overload model.
+/// Between arrivals, and after the last one, the client polls its
+/// outstanding tickets and stamps each one when its outcome lands.
 fn open_loop_client(
     c: &Coalescer<ScoringSnapshot>,
     point: &SweepPoint,
@@ -297,12 +319,17 @@ fn open_loop_client(
     let mean = interval.expect("open-loop arrivals need an offered rate");
     let mut rng = StdRng::seed_from_u64(seed ^ (0x09e4_u64 + who as u64));
     let mut pending: Vec<(Instant, ssf_repro::Ticket)> = Vec::new();
+    let mut lat: Vec<u64> = Vec::new();
     let start = Instant::now();
     let mut next = start;
     while start.elapsed() < point.duration {
-        let now = Instant::now();
-        if now < next {
-            std::thread::sleep(next - now);
+        loop {
+            retire(&mut pending, &mut lat);
+            let now = Instant::now();
+            if now >= next {
+                break;
+            }
+            std::thread::sleep((next - now).min(POLL_INTERVAL));
         }
         next += match point.arrivals {
             Arrivals::OpenPoisson => {
@@ -325,15 +352,10 @@ fn open_loop_client(
             Err(_) => {}
         }
     }
-    // Drain after the arrival process ends; only completions count
-    // toward the latency distribution (sheds and expiries do not).
-    let mut lat: Vec<u64> = Vec::new();
-    for (issued, ticket) in pending {
-        if ticket.wait().is_ok() {
-            let ns =
-                u64::try_from(issued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            lat.push(ns);
-        }
+    retire(&mut pending, &mut lat);
+    while !pending.is_empty() {
+        std::thread::sleep(POLL_INTERVAL);
+        retire(&mut pending, &mut lat);
     }
     lat
 }

@@ -135,8 +135,8 @@ USAGE:
                                                snapshot, score candidates in
                                                parallel, report health
   ssf serve-loop <edge-list> [--qps N] [--duration-ms N] [--clients N]
-               [--max-batch N] [--max-delay-us N] [--queue N]
-               [--deadline-us N] [--shards N] [--threads N] [--k N]
+               [--max-batch N] [--queue N] [--deadline-us N]
+               [--shards N] [--threads N] [--k N]
                [--epochs N] [--seed N] [--window W]
                [--arrivals closed|fixed|poisson]
                                                run the request-coalescing
@@ -601,7 +601,6 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     let qps: u64 = parse_flag(args, "--qps", 0)?;
     let duration_ms: u64 = parse_flag(args, "--duration-ms", 1000)?;
     let max_batch: usize = parse_flag(args, "--max-batch", 32)?;
-    let max_delay_us: u64 = parse_flag(args, "--max-delay-us", 100)?;
     let queue: usize = parse_flag(args, "--queue", 256)?;
     let deadline_us: u64 = parse_flag(args, "--deadline-us", 250_000)?;
     let seed: u64 = parse_flag(args, "--seed", 7)?;
@@ -654,7 +653,6 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     // surface here as `error:` lines, never panics.
     let coalesce_config = CoalesceConfig::builder()
         .max_batch(max_batch)
-        .max_delay_ns(max_delay_us.saturating_mul(1_000))
         .queue_capacity(queue)
         .worker_threads(threads)
         .default_deadline_ns(Some(deadline_us.saturating_mul(1_000).max(1)))
@@ -791,8 +789,7 @@ fn cmd_serve_loop(args: &[String], obs: &ObsHandle) -> Result<(), String> {
     };
     println!(
         "serve-loop: {clients} client(s), {arrival_label}, {offered}, \
-         {duration_ms} ms, max_batch {max_batch}, \
-         max_delay {max_delay_us}us, queue {queue}, \
+         {duration_ms} ms, max_batch {max_batch}, queue {queue}, \
          deadline {deadline_us}us"
     );
     println!(

@@ -1,20 +1,24 @@
 //! Request coalescing: a micro-batching queue in front of the snapshot
 //! read path.
 //!
-//! Every concurrent caller that scores pairs one at a time pays the cold
-//! per-pair extraction cost; the warm batch path
-//! ([`ScoringSnapshot::score_batch`]) is ~23× faster per pair because one
-//! batch shares one extraction cache. The [`Coalescer`] routes live
-//! traffic into that path: requests from any number of submitter threads
-//! queue in FIFO order, and a worker closes them into `score_batch`
-//! calls. Three policies close a batch:
+//! Requests from any number of submitter threads queue in FIFO order,
+//! and a worker closes them into [`ScoringSnapshot::score_batch`] calls.
+//! A batch buys little per pair on uniform traffic: the per-batch fixed
+//! cost is about 0.2 µs, and pairs that share no endpoints share no
+//! extraction work. Batches pay off when their pairs share endpoints
+//! (recommendation-shaped requests reuse one ball through the batch's
+//! extraction cache). So the [`Coalescer`] never holds a request back
+//! to wait for company; it is *work-conserving*:
 //!
-//! * **`max_batch`** — the queue holds a full batch.
-//! * **`max_delay`** — the oldest queued request has waited long enough
-//!   (latency bound; a lone request never waits forever).
-//! * **Epoch change** — a new snapshot was staged with
-//!   [`Coalescer::set_snapshot`]; pending requests flush against the
-//!   epoch they were admitted under before the swap takes effect.
+//! * **Close whenever work is queued** — every [`Coalescer::step`] with
+//!   a non-empty queue closes a batch of at most `max_batch` requests,
+//!   oldest first. Dispatches are serialized, so requests that arrive
+//!   while a batch is being scored pile up and leave together in the
+//!   next batch: batching grows with load and costs nothing when idle.
+//! * **Epoch change** — a new snapshot staged with
+//!   [`Coalescer::set_snapshot`] is installed only once the queue has
+//!   drained; pending requests score against the epoch they were
+//!   admitted under, so no batch mixes epochs.
 //!
 //! Admission is controlled, never blocking and never panicking: a full
 //! queue returns [`Rejection::Overloaded`] immediately, and a request
@@ -31,7 +35,7 @@
 //! recompute identically — the PR 2/4 contract). `tests/serving_slo.rs`
 //! pins this with an interleaving proptest.
 //!
-//! Time is injected through [`Clock`], so every close policy is testable
+//! Time is injected through [`Clock`], so deadline expiry is testable
 //! with a [`MockClock`] and zero wall-clock sleeps; production uses
 //! [`SystemClock`] and [`Coalescer::run_worker`].
 
@@ -39,7 +43,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dyngraph::NodeId;
 use obs::ObsHandle;
@@ -50,8 +54,8 @@ use crate::serve::{ScoringSnapshot, ShardedSnapshot};
 /// A monotonic nanosecond clock the coalescer schedules against.
 ///
 /// Production uses [`SystemClock`]; deterministic tests inject a
-/// [`MockClock`] and advance it explicitly, so `max_delay` and deadline
-/// behaviour is exact rather than sleep-and-hope.
+/// [`MockClock`] and advance it explicitly, so deadline behaviour is
+/// exact rather than sleep-and-hope.
 pub trait Clock: Send + Sync {
     /// Nanoseconds since an arbitrary fixed origin. Must never decrease.
     fn now_ns(&self) -> u64;
@@ -231,10 +235,8 @@ impl std::error::Error for Rejection {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct CoalesceConfig {
-    /// Requests per batch at which the batch closes immediately.
+    /// Most requests one batch takes from the queue.
     pub max_batch: usize,
-    /// Oldest-request age (ns) at which a partial batch closes.
-    pub max_delay_ns: u64,
     /// Bound on queued requests; admissions beyond it are
     /// [`Rejection::Overloaded`].
     pub queue_capacity: usize,
@@ -251,7 +253,6 @@ impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig {
             max_batch: 64,
-            max_delay_ns: 200_000, // 200 µs
             queue_capacity: 1024,
             worker_threads: 1,
             default_deadline_ns: None,
@@ -279,13 +280,6 @@ impl CoalesceConfigBuilder {
     /// Sets [`CoalesceConfig::max_batch`].
     pub fn max_batch(mut self, n: usize) -> Self {
         self.config.max_batch = n;
-        self
-    }
-
-    /// Sets [`CoalesceConfig::max_delay_ns`] (0 closes every batch at
-    /// the first worker pass — valid, just batchless under low load).
-    pub fn max_delay_ns(mut self, ns: u64) -> Self {
-        self.config.max_delay_ns = ns;
         self
     }
 
@@ -466,7 +460,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Pending {
     u: NodeId,
     v: NodeId,
-    enqueued_ns: u64,
     deadline_ns: Option<u64>,
     ticket: Arc<TicketInner>,
 }
@@ -677,7 +670,6 @@ impl<S: BatchScorer> Coalescer<S> {
         state.queue.push_back(Pending {
             u,
             v,
-            enqueued_ns: now,
             deadline_ns,
             ticket: inner,
         });
@@ -713,67 +705,40 @@ impl<S: BatchScorer> Coalescer<S> {
         lock(&self.shared.state).scorer.epoch_key()
     }
 
-    /// Runs one scheduling pass at the clock's current instant:
-    /// expires dead requests, closes at most one batch if any close
-    /// policy fires, and installs a staged snapshot once the queue
-    /// drains. This is the deterministic core the worker loop — and the
-    /// mock-clock tests — drive.
+    /// Runs one scheduling pass at the clock's current instant: expires
+    /// dead requests, closes one batch of at most `max_batch` requests
+    /// (oldest first) if any are queued, and installs a staged snapshot
+    /// once the queue drains. This is the deterministic core the worker
+    /// loop — and the mock-clock tests — drive.
     pub fn step(&self) -> StepReport {
-        self.step_at(self.shared.clock.now_ns(), false)
-    }
-
-    /// [`Self::step`], but closes any non-empty batch immediately,
-    /// ignoring `max_batch`/`max_delay`. Used at shutdown and by tests.
-    pub fn flush(&self) -> StepReport {
-        self.step_at(self.shared.clock.now_ns(), true)
-    }
-
-    fn step_at(&self, now: u64, force: bool) -> StepReport {
         let shared = &*self.shared;
         // One dispatch at a time: batches retire in FIFO order and the
         // staged-snapshot install can't race another dispatch.
         let _dispatch = lock(&shared.step);
+        let now = shared.clock.now_ns();
         let mut report = StepReport::default();
         let mut state = lock(&shared.state);
 
         // 1. Expire dead requests first — before any extraction work.
-        let expired: Vec<Pending> = {
-            let mut kept = VecDeque::with_capacity(state.queue.len());
-            let mut dead = Vec::new();
-            for p in state.queue.drain(..) {
-                if p.deadline_ns.is_some_and(|d| d <= now) {
-                    dead.push(p);
-                } else {
-                    kept.push_back(p);
-                }
-            }
+        // Submitters wait on this lock, so the queue is rebuilt only
+        // when the scan finds a request to expire.
+        let is_dead = |p: &Pending| p.deadline_ns.is_some_and(|d| d <= now);
+        let expired: VecDeque<Pending> = if state.queue.iter().any(is_dead) {
+            let (dead, kept) = std::mem::take(&mut state.queue)
+                .into_iter()
+                .partition(is_dead);
             state.queue = kept;
             dead
-        };
-
-        // 2. Decide whether a batch closes.
-        let depth = state.queue.len();
-        let oldest_age = state
-            .queue
-            .front()
-            .map(|p| now.saturating_sub(p.enqueued_ns));
-        let close = depth > 0
-            && (force
-                || depth >= shared.config.max_batch
-                || oldest_age >= Some(shared.config.max_delay_ns)
-                || state.staged.is_some()
-                || state.shutdown);
-
-        // 3. Take the batch (FIFO) and the scorer it was admitted under.
-        let batch: Vec<Pending> = if close {
-            let n = depth.min(shared.config.max_batch);
-            state.queue.drain(..n).collect()
         } else {
-            Vec::new()
+            VecDeque::new()
         };
+
+        // 2. Take the batch (FIFO) and the scorer it was admitted under.
+        let n = state.queue.len().min(shared.config.max_batch);
+        let batch: Vec<Pending> = state.queue.drain(..n).collect();
         let scorer = Arc::clone(&state.scorer);
 
-        // 4. Install a staged snapshot once the pre-swap queue drained.
+        // 3. Install a staged snapshot once the pre-swap queue drained.
         if state.queue.is_empty() {
             if let Some(next) = state.staged.take() {
                 state.scorer = next;
@@ -783,7 +748,7 @@ impl<S: BatchScorer> Coalescer<S> {
         report.remaining = state.queue.len();
         drop(state);
 
-        // 5. Reject the expired (no scoring was spent on them).
+        // 4. Reject the expired (no scoring was spent on them).
         report.expired = expired.len();
         if !expired.is_empty() {
             shared
@@ -797,7 +762,7 @@ impl<S: BatchScorer> Coalescer<S> {
             }
         }
 
-        // 6. Score the batch outside every lock, then deliver in order.
+        // 5. Score the batch outside every lock, then deliver in order.
         if !batch.is_empty() {
             let span = shared.obs.span("ssf.serve.coalesce_batch");
             let pairs: Vec<(NodeId, NodeId)> =
@@ -828,88 +793,37 @@ impl<S: BatchScorer> Coalescer<S> {
         report
     }
 
-    /// The production worker loop: sleeps until a close policy can
-    /// fire (full batch, `max_delay` on the oldest request, a request
-    /// deadline, a staged snapshot, shutdown), then steps. Returns once
-    /// [`Self::shutdown`] was called and the queue has drained.
+    /// The production worker loop: parks until a request is queued, a
+    /// snapshot is staged or shutdown is called, then steps. Returns
+    /// once [`Self::shutdown`] was called and the queue has drained.
     ///
     /// Meant for a dedicated thread; spawn it on a clone:
     /// `std::thread::spawn(move || worker.run_worker())`.
     pub fn run_worker(&self) {
-        // Re-check period: bounds the race between reading the clock
-        // and parking, so a concurrent clock advance is never missed
-        // for long.
-        const MAX_PARK: Duration = Duration::from_millis(5);
         loop {
+            // Checked under the state lock that `admit`, `set_snapshot`
+            // and `shutdown` change state under before they notify, so
+            // no wake-up is lost between the check and the wait.
             let mut state = lock(&self.shared.state);
-            loop {
-                let now = self.shared.clock.now_ns();
-                if state.shutdown && state.queue.is_empty() {
+            while state.queue.is_empty() && state.staged.is_none() {
+                if state.shutdown {
                     return;
                 }
-                if self.due_locked(&state, now) {
-                    break;
-                }
-                let park =
-                    self.next_due_ns(&state, now).map_or(MAX_PARK, |ns| {
-                        Duration::from_nanos(ns).min(MAX_PARK)
-                    });
                 state = self
                     .shared
                     .work
-                    .wait_timeout(state, park)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             drop(state);
             self.step();
         }
     }
 
-    /// Whether any close/expiry/install policy fires at `now`.
-    fn due_locked(&self, state: &State<S>, now: u64) -> bool {
-        if state.shutdown && !state.queue.is_empty() {
-            return true;
-        }
-        if state.staged.is_some() {
-            return true;
-        }
-        let Some(front) = state.queue.front() else {
-            return false;
-        };
-        state.queue.len() >= self.shared.config.max_batch
-            || now.saturating_sub(front.enqueued_ns)
-                >= self.shared.config.max_delay_ns
-            || state
-                .queue
-                .iter()
-                .any(|p| p.deadline_ns.is_some_and(|d| d <= now))
-    }
-
-    /// Nanoseconds until the earliest scheduled event (`max_delay` on
-    /// the oldest request, or the nearest deadline); `None` when idle.
-    fn next_due_ns(&self, state: &State<S>, now: u64) -> Option<u64> {
-        let delay = state.queue.front().map(|p| {
-            p.enqueued_ns
-                .saturating_add(self.shared.config.max_delay_ns)
-                .saturating_sub(now)
-        });
-        let deadline = state
-            .queue
-            .iter()
-            .filter_map(|p| p.deadline_ns)
-            .min()
-            .map(|d| d.saturating_sub(now));
-        match (delay, deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// Initiates shutdown: future submissions are rejected with
-    /// [`Rejection::ShutDown`], already-queued requests are flushed
-    /// (scored) by the worker — or by direct [`Self::flush`] calls —
-    /// and [`Self::run_worker`] returns once the queue drains.
+    /// [`Rejection::ShutDown`], already-queued requests are scored by
+    /// the worker — or by direct [`Self::step`] calls — and
+    /// [`Self::run_worker`] returns once the queue drains.
     pub fn shutdown(&self) {
         lock(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
@@ -1001,17 +915,18 @@ mod tests {
     fn submit_then_full_batch_dispatches_in_fifo_order() {
         let config = CoalesceConfig::builder()
             .max_batch(2)
-            .max_delay_ns(u64::MAX >> 1)
             .build()
             .expect("valid");
         let (c, _clock) = coalescer(config);
         let t1 = c.submit(1, 2).expect("admitted");
-        assert_eq!(c.step().scored, 0, "half a batch must wait");
         let t2 = c.submit(3, 4).expect("admitted");
+        let t3 = c.submit(5, 6).expect("admitted");
         let report = c.step();
-        assert_eq!(report.scored, 2);
+        assert_eq!((report.scored, report.remaining), (2, 1));
         assert_eq!(t1.wait(), Ok(Some(3.0)));
         assert_eq!(t2.wait(), Ok(Some(7.0)));
+        assert_eq!(c.step().scored, 1, "the rest leaves on the next step");
+        assert_eq!(t3.wait(), Ok(Some(11.0)));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Serving-SLO suite: the request-coalescing front-end under a mock
 //! clock.
 //!
-//! Coalescing reorders *work* — requests queue, batch, and flush on
-//! three policies — so the headline obligation is that it never
-//! reorders *values*: every score delivered through the [`Coalescer`]
-//! must be bit-identical to [`ScoringSnapshot::score_batch`] on the
-//! same pairs, at every batch boundary and worker-thread count. The
-//! batching policies themselves (`max_batch`, `max_delay`,
-//! snapshot-epoch change) are pinned with an injected [`MockClock`]:
-//! no wall-clock sleeps, every close decision is exact.
+//! Coalescing reorders *work* — requests queue and leave in batches —
+//! so the headline obligation is that it never reorders *values*:
+//! every score delivered through the [`Coalescer`] must be
+//! bit-identical to [`ScoringSnapshot::score_batch`] on the same pairs,
+//! at every batch boundary and worker-thread count. The close policy
+//! itself (every step with queued work closes a batch of at most
+//! `max_batch`; requests arriving during a dispatch leave together in
+//! the next one; a staged epoch installs once the queue drains) is
+//! pinned with an injected [`MockClock`]: no wall-clock sleeps, every
+//! close decision is exact.
 //!
 //! The admission contract rides along: a full queue rejects with
 //! [`Rejection::Overloaded`] without blocking the submitter, a spent
@@ -19,6 +21,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use ssf_repro::datasets::DatasetSpec;
@@ -90,37 +93,43 @@ fn mock_coalescer(
 fn batch_closes_on_max_batch() {
     let config = CoalesceConfig::builder()
         .max_batch(3)
-        .max_delay_ns(u64::MAX >> 1)
         .build()
         .expect("valid");
     let (c, _clock) = mock_coalescer(config);
-    let pairs = [(0u32, 1u32), (2, 5), (1, 4)];
-    let t0 = c.submit(pairs[0].0, pairs[0].1).expect("admitted");
-    let t1 = c.submit(pairs[1].0, pairs[1].1).expect("admitted");
-    assert_eq!(c.step().scored, 0, "2 of 3: no close policy fires");
-    let t2 = c.submit(pairs[2].0, pairs[2].1).expect("admitted");
-    let report = c.step();
-    assert_eq!(report.scored, 3, "full batch closes immediately");
-    assert_eq!(report.remaining, 0);
+    // A burst of max_batch + 2 leaves as max_batch, then the rest.
+    let pairs = [(0u32, 1u32), (2, 5), (1, 4), (3, 6), (5, 0)];
+    let tickets: Vec<_> = pairs
+        .iter()
+        .map(|&(u, v)| c.submit(u, v).expect("admitted"))
+        .collect();
+    let first = c.step();
+    assert_eq!(first.scored, 3, "a batch takes at most max_batch");
+    assert_eq!(first.remaining, 2);
+    let second = c.step();
+    assert_eq!(second.scored, 2, "the rest closes on the next step");
+    assert_eq!(second.remaining, 0);
+    assert_eq!(c.stats().batches, 2);
     let direct = shared_snapshot().score_batch(&pairs);
-    let got = [t0, t1, t2].map(|t| t.wait().expect("scored"));
+    let got: Vec<_> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("scored"))
+        .collect();
     assert_eq!(bits(&got), bits(&direct));
 }
 
 #[test]
-fn batch_closes_on_max_delay_exactly() {
+fn lone_request_closes_on_first_step_at_age_zero() {
     let config = CoalesceConfig::builder()
         .max_batch(100)
-        .max_delay_ns(1_000)
         .build()
         .expect("valid");
-    let (c, clock) = mock_coalescer(config);
+    let (c, _clock) = mock_coalescer(config);
     let t = c.submit(0, 1).expect("admitted");
-    clock.advance(999);
-    assert_eq!(c.step().scored, 0, "one tick early: batch stays open");
-    clock.advance(1);
+    // The clock never moves: the request is dispatched at age 0.
     let report = c.step();
-    assert_eq!(report.scored, 1, "age == max_delay closes the batch");
+    assert_eq!(report.scored, 1, "a lone request never waits for company");
+    assert_eq!(report.remaining, 0);
+    assert_eq!(c.now_ns(), 0);
     assert_eq!(
         bits(&[t.wait().expect("scored")]),
         bits(&shared_snapshot().score_batch(&[(0, 1)]))
@@ -139,7 +148,6 @@ fn batch_closes_on_snapshot_epoch_change() {
 
     let config = CoalesceConfig::builder()
         .max_batch(100)
-        .max_delay_ns(u64::MAX >> 1)
         .build()
         .expect("valid");
     let clock = Arc::new(MockClock::new());
@@ -151,23 +159,27 @@ fn batch_closes_on_snapshot_epoch_change() {
     let pairs = [(0u32, 5u32), (2, 9)];
     let t0 = c.submit(pairs[0].0, pairs[0].1).expect("admitted");
     let t1 = c.submit(pairs[1].0, pairs[1].1).expect("admitted");
-    assert_eq!(c.step().scored, 0, "no policy fires yet");
 
     c.set_snapshot(snap2.clone());
+    assert_eq!(
+        c.current_epoch_key(),
+        snap1.epoch_key(),
+        "a staged epoch waits for the queue to drain"
+    );
     let report = c.step();
-    assert_eq!(report.scored, 2, "staging a new epoch flushes the queue");
+    assert_eq!(report.scored, 2, "the queued batch scores first");
     assert!(
         report.snapshot_installed,
         "swap lands once the queue drains"
     );
-    // The flushed batch scored against the epoch it was admitted under.
+    // The queued batch scored against the epoch it was admitted under.
     let old = [t0, t1].map(|t| t.wait().expect("scored"));
     assert_eq!(bits(&old), bits(&snap1.score_batch(&pairs)));
     assert_eq!(c.current_epoch_key(), snap2.epoch_key());
 
     // Requests after the swap score against the new epoch.
     let t2 = c.submit(0, 7).expect("admitted");
-    assert_eq!(c.flush().scored, 1);
+    assert_eq!(c.step().scored, 1);
     assert_eq!(
         bits(&[t2.wait().expect("scored")]),
         bits(&snap2.score_batch(&[(0, 7)]))
@@ -177,11 +189,10 @@ fn batch_closes_on_snapshot_epoch_change() {
 #[test]
 fn step_on_empty_queue_is_a_noop() {
     let (c, _clock) = mock_coalescer(CoalesceConfig::default());
-    for report in [c.step(), c.flush()] {
-        assert_eq!(report.scored, 0);
-        assert_eq!(report.expired, 0);
-        assert_eq!(report.remaining, 0);
-    }
+    let report = c.step();
+    assert_eq!(report.scored, 0);
+    assert_eq!(report.expired, 0);
+    assert_eq!(report.remaining, 0);
     let stats = c.stats();
     assert_eq!(stats.batches, 0, "empty batches are never dispatched");
     assert_eq!(stats.submitted, 0);
@@ -222,7 +233,6 @@ fn full_queue_rejects_overloaded_with_depth_and_capacity() {
     let config = CoalesceConfig::builder()
         .queue_capacity(2)
         .max_batch(100)
-        .max_delay_ns(u64::MAX >> 1)
         .build()
         .expect("valid");
     let (c, _clock) = mock_coalescer(config);
@@ -315,12 +325,84 @@ fn admission_does_not_block_behind_an_in_flight_dispatch() {
     // Drain the second request (its dispatch parks too).
     let drainer = {
         let c = c.clone();
-        std::thread::spawn(move || c.flush())
+        std::thread::spawn(move || c.step())
     };
     entered_rx.recv().expect("second dispatch");
     release_tx.send(()).expect("release second dispatch");
     drainer.join().expect("drainer thread");
     assert!(t1.wait().is_ok());
+}
+
+#[test]
+fn pairs_arriving_during_a_dispatch_form_the_next_batch() {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let scorer = GatedScorer {
+        inner: shared_snapshot().clone(),
+        pairs_scored: Arc::new(AtomicU64::new(0)),
+        entered: std::sync::Mutex::new(entered_tx),
+        release: std::sync::Mutex::new(release_rx),
+    };
+    let config = CoalesceConfig::builder()
+        .max_batch(8)
+        .build()
+        .expect("valid");
+    let clock = Arc::new(MockClock::new());
+    let c = Coalescer::with_clock(
+        scorer,
+        config,
+        Arc::<MockClock>::clone(&clock) as Arc<dyn ssf_repro::Clock>,
+    );
+    let pairs = [(0u32, 1u32), (2, 5), (1, 4), (3, 6)];
+    let t0 = c.submit(pairs[0].0, pairs[0].1).expect("admitted");
+    let stepper = {
+        let c = c.clone();
+        std::thread::spawn(move || c.step())
+    };
+    entered_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a lone request is dispatched on the first step");
+    // The lone request is in flight; these queue behind it.
+    let later: Vec<_> = pairs[1..]
+        .iter()
+        .map(|&(u, v)| c.submit(u, v).expect("admitted"))
+        .collect();
+    release_tx.send(()).expect("release first dispatch");
+    assert_eq!(stepper.join().expect("stepper thread").scored, 1);
+    release_tx.send(()).expect("pre-release second dispatch");
+    let report = c.step();
+    assert_eq!(report.scored, 3, "the arrivals leave together");
+    assert_eq!(report.remaining, 0);
+    assert_eq!(c.stats().batches, 2);
+    let mut got = vec![t0.wait().expect("scored")];
+    got.extend(later.into_iter().map(|t| t.wait().expect("scored")));
+    assert_eq!(bits(&got), bits(&shared_snapshot().score_batch(&pairs)));
+}
+
+#[test]
+fn run_worker_scores_a_lone_request_while_the_clock_stands_still() {
+    let (c, _clock) = mock_coalescer(CoalesceConfig::default());
+    let worker = {
+        let c = c.clone();
+        std::thread::spawn(move || c.run_worker())
+    };
+    let ticket = c.submit(0, 1).expect("admitted");
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(ticket.wait());
+    });
+    // A worker that waited on the clock would never score this; a
+    // generous timeout turns that regression into a failure, not a hang.
+    let outcome = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the worker scores a lone request without the clock moving");
+    assert_eq!(
+        bits(&[outcome.expect("scored")]),
+        bits(&shared_snapshot().score_batch(&[(0, 1)]))
+    );
+    assert_eq!(c.now_ns(), 0);
+    c.shutdown();
+    worker.join().expect("worker thread");
 }
 
 #[test]
@@ -340,7 +422,6 @@ fn expired_deadline_is_rejected_before_extraction() {
     let clock = Arc::new(MockClock::new());
     let config = CoalesceConfig::builder()
         .max_batch(100)
-        .max_delay_ns(10_000)
         .build()
         .expect("valid");
     let c = Coalescer::with_clock_and_recorder(
@@ -374,7 +455,6 @@ fn expired_deadline_is_rejected_before_extraction() {
     // the expired pair never reached the scorer.
     let live = c.submit(2, 5).expect("admitted");
     release_tx.send(()).expect("pre-release second dispatch");
-    clock.advance(10_000);
     assert_eq!(c.step().scored, 1);
     assert!(live.wait().is_ok());
     let c_stats = c.stats();
@@ -423,7 +503,6 @@ fn counters_reconcile_under_multithreaded_stress() {
     let config = CoalesceConfig::builder()
         .queue_capacity(8) // small: forces Overloaded under the burst
         .max_batch(4)
-        .max_delay_ns(50_000)
         .build()
         .expect("valid");
     let c = Coalescer::with_clock_and_recorder(
@@ -610,14 +689,12 @@ proptest! {
             1..40,
         ),
         max_batch in 1..6usize,
-        max_delay_us in 1..300u64,
     ) {
         let snap = shared_snapshot().clone();
         let n = snap.graph().node_count() as u32;
         for worker_threads in [1usize, 2, 8] {
             let config = CoalesceConfig::builder()
                 .max_batch(max_batch)
-                .max_delay_ns(max_delay_us * 1_000)
                 .worker_threads(worker_threads)
                 .queue_capacity(4096)
                 .build()
@@ -646,8 +723,14 @@ proptest! {
                     }
                 }
             }
-            // Drain: flush closes pending batches regardless of policy.
-            while c.flush().remaining > 0 {}
+            // Drain: every step with queued work closes a batch, so one
+            // step per queued request is always enough.
+            for _ in 0..=submitted.len() {
+                if c.step().remaining == 0 {
+                    break;
+                }
+            }
+            prop_assert_eq!(c.stats().queue_depth, 0);
             let direct = snap.score_batch(&submitted);
             for (i, (t, want)) in
                 tickets.into_iter().zip(&direct).enumerate()
